@@ -17,13 +17,11 @@
 //!   `crates/chaos/src/fault.rs`. A fault the chaos plane can inject but
 //!   the docs don't list is a failure mode nobody plans drills for; a
 //!   documented fault with no variant promises coverage that isn't there.
-//! - The **counter-family thread-invariance table** mirrors the `sched.*`
-//!   counter registrations, grouped by family (`plane.subsystem.*`). The
-//!   sharded dispatcher's contract is that every family except
-//!   `sched.shard.*` is bit-identical at any plan width; a family
-//!   registered without a row ships a counter with an undeclared
-//!   invariance contract, and a row without a registration documents a
-//!   contract nothing upholds.
+//! - The **scheduler counter-family table** mirrors the `sched.*`
+//!   counter registrations, grouped by family (`plane.subsystem.*`). A
+//!   family registered without a row ships counters nobody has said the
+//!   meaning of, and a row without a registration documents counters
+//!   that no longer exist.
 
 use crate::diag::{Diag, R4_DOCS_SYNC as RULE};
 use crate::lexer::{lex, TokKind};

@@ -16,11 +16,9 @@
 //! counts, or the instrumentation perturbed the schedule).
 //!
 //! Each scale additionally replays a fair-share storm (four striped
-//! partitions, jobs decorated round-robin) at shard width 1 and at the
-//! `RAYON_THREADS` width, asserting the two schedules bit-identical
-//! before emitting both as `"fair_share": true` rows with a `"threads"`
-//! field — the scale-level proof that sharded dispatch is a pure
-//! planning optimization.
+//! partitions, jobs decorated round-robin) and emits it as a
+//! `"fair_share": true` row, so the policy plane's cost stays measured
+//! next to the plain EASY rows at the same node count.
 
 use eus_bench::table::{f, TextTable};
 use eus_obs::ObsConfig;
@@ -32,19 +30,16 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Striped partitions for the fair-share rows: node `i` lands in
-/// `p{i % SHARD_PARTS}`, job `j` requests `p{j % SHARD_PARTS}`.
-const SHARD_PARTS: usize = 4;
+/// `p{i % FS_PARTS}`, job `j` requests `p{j % FS_PARTS}`.
+const FS_PARTS: usize = 4;
 
 struct Row {
     nodes: u32,
     jobs: usize,
     policy: NodeSharing,
     backfill: bool,
-    /// Fair-share rows carry the striped-partition storm (and are the
-    /// only rows where `threads` can exceed 1).
+    /// Fair-share rows carry the striped-partition storm.
     fair_share: bool,
-    /// Shard-plan width the row replayed under (`Scheduler::set_shard_threads`).
-    threads: usize,
     wall_ms: f64,
     events: u64,
     events_per_sec: f64,
@@ -109,7 +104,6 @@ fn replay(nodes: u32, policy: NodeSharing, backfill: bool, trace: &SharedTrace) 
         policy,
         backfill,
         fair_share: false,
-        threads: 1,
         wall_ms: wall.as_secs_f64() * 1e3,
         events,
         events_per_sec: events as f64 / wall.as_secs_f64(),
@@ -122,42 +116,39 @@ fn replay(nodes: u32, policy: NodeSharing, backfill: bool, trace: &SharedTrace) 
 }
 
 /// Decorate a storm with round-robin partition requests so the fair-share
-/// replay exercises multi-class head selection (the sharded plane only
-/// engages with more than one schedulable class).
+/// replay exercises multi-class head selection.
 fn partitioned(trace: &SharedTrace) -> SharedTrace {
-    let names: Vec<String> = (0..SHARD_PARTS).map(|i| format!("p{i}")).collect();
+    let names: Vec<String> = (0..FS_PARTS).map(|i| format!("p{i}")).collect();
     let refs: Vec<&str> = names.iter().map(String::as_str).collect();
     eus_bench::partition_round_robin(trace.clone(), &refs)
 }
 
-/// Build the fair-share scheduler for the sharded rows: shared nodes
-/// striped across [`SHARD_PARTS`] partitions, EASY backfill on, shard
-/// planning at `threads`.
-fn sharded_scheduler(nodes: u32, threads: usize) -> Scheduler {
+/// Build the fair-share scheduler for the fair-share rows: shared nodes
+/// striped across [`FS_PARTS`] partitions, EASY backfill on.
+fn fair_share_scheduler(nodes: u32) -> Scheduler {
     let mut s = Scheduler::new(SchedConfig {
         policy: NodeSharing::Shared,
         backfill: true,
         fair_share: true,
         ..SchedConfig::default()
     });
-    let mut stripes: Vec<Vec<_>> = vec![Vec::new(); SHARD_PARTS];
+    let mut stripes: Vec<Vec<_>> = vec![Vec::new(); FS_PARTS];
     for i in 0..nodes {
         let id = s.add_node(16, 65_536, 0);
-        stripes[i as usize % SHARD_PARTS].push(id);
+        stripes[i as usize % FS_PARTS].push(id);
     }
     for (p, ids) in stripes.into_iter().enumerate() {
         s.partitions_mut()
             .add(&format!("p{p}"), ids, p == 0)
             .unwrap_or_else(|e| panic!("partition p{p}: {e}"));
     }
-    s.set_shard_threads(threads);
     s
 }
 
-/// Replay the partitioned storm through the fair-share engine at a given
-/// shard width. Same quiet-timed / loud-obs structure as [`replay`].
-fn replay_sharded(nodes: u32, threads: usize, trace: &SharedTrace) -> Row {
-    let mut s = sharded_scheduler(nodes, threads);
+/// Replay the partitioned storm through the fair-share engine. Same
+/// quiet-timed / loud-obs structure as [`replay`].
+fn replay_fair_share(nodes: u32, trace: &SharedTrace) -> Row {
+    let mut s = fair_share_scheduler(nodes);
     let t0 = Instant::now();
     trace.submit_all(&mut s);
     let end = s.run_to_completion();
@@ -167,14 +158,11 @@ fn replay_sharded(nodes: u32, threads: usize, trace: &SharedTrace) -> Row {
     assert_eq!(s.running_count(), 0);
     let events = trace.len() as u64 + terminal;
 
-    let mut loud = sharded_scheduler(nodes, threads);
+    let mut loud = fair_share_scheduler(nodes);
     loud.enable_obs(ObsConfig::enabled());
     trace.submit_all(&mut loud);
     let loud_end = loud.run_to_completion();
-    assert_eq!(
-        loud_end, end,
-        "obs-enabled fair-share replay must match (threads {threads})"
-    );
+    assert_eq!(loud_end, end, "obs-enabled fair-share replay must match");
     assert_eq!(loud.metrics.completed.get(), s.metrics.completed.get());
 
     Row {
@@ -183,7 +171,6 @@ fn replay_sharded(nodes: u32, threads: usize, trace: &SharedTrace) -> Row {
         policy: NodeSharing::Shared,
         backfill: true,
         fair_share: true,
-        threads,
         wall_ms: wall.as_secs_f64() * 1e3,
         events,
         events_per_sec: events as f64 / wall.as_secs_f64(),
@@ -256,7 +243,6 @@ fn main() {
         let mut table = TextTable::new(&[
             "policy",
             "backfill",
-            "threads",
             "wall ms",
             "events",
             "events/sec",
@@ -273,7 +259,6 @@ fn main() {
                     r.policy.to_string()
                 },
                 if r.backfill { "easy" } else { "fcfs" }.to_string(),
-                r.threads.to_string(),
                 f(r.wall_ms, 1),
                 r.events.to_string(),
                 f(r.events_per_sec, 0),
@@ -289,24 +274,8 @@ fn main() {
                 push(&mut table, replay(nodes, policy, backfill, &trace));
             }
         }
-        // Fair-share rows: the same storm striped across partitions,
-        // replayed sequentially and sharded. The schedules must be
-        // bit-identical — sharding is a planning optimization, never a
-        // policy change.
-        let ptrace = partitioned(&trace);
-        let par_width = rayon::default_threads().max(2);
-        let seq = replay_sharded(nodes, 1, &ptrace);
-        let par = replay_sharded(nodes, par_width, &ptrace);
-        assert_eq!(
-            seq.makespan_s, par.makespan_s,
-            "sharded makespan must be bit-identical at {nodes} nodes"
-        );
-        assert_eq!(
-            seq.completed, par.completed,
-            "sharded completions must be bit-identical at {nodes} nodes"
-        );
-        push(&mut table, seq);
-        push(&mut table, par);
+        // Fair-share row: the same storm striped across partitions.
+        push(&mut table, replay_fair_share(nodes, &partitioned(&trace)));
         print!("{}", table.render());
         println!();
     }
@@ -342,7 +311,7 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{ \"nodes\": {}, \"jobs\": {}, \"policy\": \"{}\", \"backfill\": {}, \
-             \"fair_share\": {}, \"threads\": {}, \
+             \"fair_share\": {}, \
              \"wall_ms\": {:.2}, \"events\": {}, \"events_per_sec\": {:.0}, \
              \"makespan_s\": {:.0}, \"completed\": {}, {} }}{}",
             r.nodes,
@@ -350,7 +319,6 @@ fn main() {
             r.policy,
             r.backfill,
             r.fair_share,
-            r.threads,
             r.wall_ms,
             r.events,
             r.events_per_sec,

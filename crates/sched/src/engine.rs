@@ -11,7 +11,7 @@
 //! At 10k-node scale the naive cycle — collect-and-sort every node per
 //! placement attempt, clone the whole node map per EASY shadow computation,
 //! shift a `Vec` queue — is quadratic-ish in cluster size and queue depth.
-//! This engine instead runs on a **cache-native, shardable core**: dense
+//! This engine instead runs on a **cache-native core**: dense
 //! struct-of-arrays node storage, bitmap candidate sets, epoch-stamped
 //! overlay scratch, and memoized scan state, all updated incrementally on
 //! every claim/release so a scheduling cycle touches only viable state:
@@ -20,9 +20,11 @@
 //!   (`slot = id − 1`) whose placement-relevant fields (free cores/mem/gpus,
 //!   job count, sole owner, up bit) are mirrored into flat columns. A
 //!   placement walk reads 4–16 bytes per rejected candidate instead of
-//!   chasing a `BTreeMap` pointer into a ~200-byte struct; the columns are
-//!   refreshed from the same `mirror_update` funnel that maintains the
-//!   shadow mirror, so they can never drift between decisions.
+//!   chasing a `BTreeMap` pointer into a ~200-byte struct. The columns are
+//!   the engine's only copy of node capacity: the `mirror_update` funnel
+//!   refreshes them on every claim/release/fail/repair, and the placement
+//!   walk, shadow replay, preemption proof and reservation calendar all
+//!   read them, so no two readers can see different capacity.
 //! * **Placement index** — bitmap [`crate::table::NodeSet`]s replace the
 //!   old id-ordered tree sets: `idle_nodes` (no running jobs — the only
 //!   admissible "other" nodes under `Exclusive`, `WholeNodeUser`, and
@@ -39,10 +41,9 @@
 //!   against a blocked head cost one counter bump, not an O(nodes) walk.
 //! * **Overlay shadow** — the EASY shadow replays running-job releases in
 //!   end-time order through an epoch-stamped overlay: each touched node is
-//!   first-touch copied from the persistent capacity mirror, so a replay
-//!   costs O(touched releases), not an O(nodes) mirror memcpy. The total
-//!   task-fit sum is maintained incrementally with early exit the moment
-//!   the head fits.
+//!   first-touch copied from the node-table columns, so a replay costs
+//!   O(touched releases), not an O(nodes) copy. The total task-fit sum is
+//!   maintained incrementally with early exit the moment the head fits.
 //! * **Backfill scan memo** — the FCFS backfill window scan memoizes its
 //!   outcome per `(head, state_version, queue_shrink_epoch)`: an arrival
 //!   flood against an unchanged window skips the scan outright, and an
@@ -60,30 +61,11 @@
 //!   strings, and partition eligible-sets are borrowed rather than cloned
 //!   per cycle.
 //!
-//! # Sharded dispatch
-//!
-//! With `fair_share` on, the per-partition classes are independent up to
-//! the moment a start mutates node state — so [`Scheduler::plan_shards`]
-//! fans the per-class head *planning* (candidate walk over that class's
-//! capacity mirror) out over the rayon shim at a caller-chosen width
-//! ([`Scheduler::set_shard_threads`]). Shards only **precompute**: each
-//! returns a pure plan `(node, tasks)` + fit total against the cycle's
-//! frozen `state_version`, and the sequential merge consumes seeds in the
-//! same `(partition, enqueue-seq)` order the single-threaded loop uses,
-//! re-validating `(head, version)` and falling back to the inline walk on
-//! any staleness. **Shard-merge determinism rule:** a seed may only be
-//! consumed at the exact `(head, state_version)` it was planned for, and
-//! consumption order is the sequential class order — so parallel runs are
-//! bit-identical to `shard_threads = 1` at any width. Only the
-//! `sched.shard.*` counters vary with thread count (see
-//! [`crate::obs`] for the full thread-invariance table).
-//!
 //! The pre-overhaul implementation is retained verbatim in
 //! [`crate::reference`]; `tests/sched_equivalence.rs` proves the two
-//! observationally identical over random traces × policies,
-//! `tests/sched_parallel_equivalence.rs` proves the sharded core
-//! bit-identical across thread counts 1/2/4/8, and
-//! `benches/sched_throughput.rs` + `exp_sched_scale` keep the speedup
+//! observationally identical over random traces × policies (and pins the
+//! knobs-on decisions, which have no oracle, to recorded fingerprints),
+//! and `benches/sched_throughput.rs` + `exp_sched_scale` keep the speedup
 //! measured. One invariant to keep in mind: `config.policy` must not change
 //! mid-run (the index assumes placement decisions were made under the same
 //! policy — `SchedConfig` is documented immutable per run).
@@ -120,12 +102,11 @@
 //!   candidate must not collide with any held reservation, not just the
 //!   head's shadow).
 //!
-//! The policy plane honors the PR-4 machinery: placement attempts walk the
-//! same incremental candidate index, shadows and calendars build from the
-//! same capacity mirrors (including the per-partition mirrors that give
-//! partitioned builds the flat-copy path), and per-class head/shadow memos
-//! skip recomputation on arrival floods. Like `policy`, the plane's knobs
-//! and the partition table are immutable once jobs are queued.
+//! The policy plane runs on the same machinery: placement attempts walk
+//! the same incremental candidate index, shadows, preemption proofs and
+//! calendars read the same node-table columns, and per-class head/shadow
+//! memos skip recomputation on arrival floods. Like `policy`, the plane's
+//! knobs and the partition table are immutable once jobs are queued.
 
 use crate::accounting::FairShareLedger;
 use crate::calendar::{CapDelta, Reservation, ReservationCalendar};
@@ -286,9 +267,10 @@ pub struct SchedMetrics {
     pub timed_out: Counter,
 }
 
-/// One node's state in the EASY shadow replay: just the capacity deltas and
-/// the two bits admissibility depends on. `Copy`, so building the shadow is
-/// a flat memcpy-style pass — no `SchedNode` clones, no nested maps.
+/// One node's capacity as a what-if value: the shadow overlay, the
+/// preemption proof and the reservation calendar fold hypothetical
+/// releases and claims into copies of it. Just the capacity deltas and the
+/// two bits admissibility depends on, so a copy is a flat `Copy`.
 #[derive(Debug, Clone, Copy)]
 struct ShadowNode {
     id: NodeId,
@@ -301,19 +283,21 @@ struct ShadowNode {
 }
 
 impl ShadowNode {
-    fn from_node(n: &SchedNode) -> Self {
-        ShadowNode {
-            id: n.id,
-            free_cores: n.free_cores(),
-            free_mem_mib: n.free_mem_mib(),
-            free_gpus: n.free_gpus(),
-            jobs: n.running.len() as u32,
-            owner: n.owner(),
-            up: n.state == NodeState::Up,
-        }
+    // analyze:hot-path-begin(sched-shadow-fit)
+    /// Slot `slot`'s current capacity, read off the node-table columns
+    /// (`None` past the end of the table).
+    fn from_cols(cols: &NodeCols<'_>, slot: usize) -> Option<Self> {
+        Some(ShadowNode {
+            id: NodeId(u32::try_from(slot + 1).ok()?),
+            free_cores: *cols.free_cores.get(slot)?,
+            free_mem_mib: *cols.free_mem.get(slot)?,
+            free_gpus: *cols.free_gpus.get(slot)?,
+            jobs: *cols.jobs.get(slot)?,
+            owner: *cols.owner.get(slot)?,
+            up: *cols.up.get(slot)?,
+        })
     }
 
-    // analyze:hot-path-begin(sched-shadow-fit)
     /// Tasks of `spec` this shadow node could host right now — the shadow
     /// counterpart of `node_admits` + `tasks_that_fit`, capped at
     /// `u32::MAX` exactly like the real fit computation.
@@ -365,8 +349,25 @@ impl ShadowNode {
         }
         *total += self.fit(spec, policy);
     }
-    // analyze:hot-path-end
 }
+
+/// The overlay entry for `slot` in replay `epoch`, first-touch copied from
+/// the node-table columns when its stamp is from an earlier replay.
+fn overlay_entry<'a>(
+    overlay: &'a mut [ShadowNode],
+    stamp: &mut [u64],
+    cols: &NodeCols<'_>,
+    slot: usize,
+    epoch: u64,
+) -> Option<&'a mut ShadowNode> {
+    let (st, sn) = (stamp.get_mut(slot)?, overlay.get_mut(slot)?);
+    if *st != epoch {
+        *sn = ShadowNode::from_cols(cols, slot)?;
+        *st = epoch;
+    }
+    Some(sn)
+}
+// analyze:hot-path-end
 
 /// The scheduler.
 #[derive(Debug)]
@@ -374,7 +375,8 @@ pub struct Scheduler {
     /// Configuration (immutable per run for clean experiments).
     pub config: SchedConfig,
     /// Compute nodes: dense SoA storage, placement columns kept in sync by
-    /// the `mirror_update` funnel.
+    /// the `mirror_update` funnel. The columns are the only copy of node
+    /// capacity the scheduler reads.
     pub nodes: NodeTable,
     /// Every job ever submitted.
     pub jobs: BTreeMap<JobId, Job>,
@@ -403,21 +405,16 @@ pub struct Scheduler {
     /// Per-user sets of nodes the user *solely* owns (packing affinity).
     owned_nodes: BTreeMap<Uid, BTreeSet<NodeId>>,
     // ---- reusable scan scratch (allocation-free steady state) ----
-    /// Victim-scan scratch for `try_preempt_for` (reused across calls).
-    scan_scratch: Vec<ShadowNode>,
-    /// Persistent per-node capacity mirror, id-ascending, maintained on
-    /// every claim/release/fail/repair — the partition-free shadow build is
-    /// a flat copy of this instead of an O(n) walk of the node `BTreeMap`.
-    shadow_mirror: Vec<ShadowNode>,
-    /// Epoch-stamped shadow overlay (dense, `slot = id − 1`): a replay
-    /// first-touch copies each node it releases on from `shadow_mirror`
-    /// into `shadow_overlay` (stamping `shadow_stamp` with the replay's
-    /// epoch), so a replay costs O(touched releases) instead of an
-    /// O(nodes) mirror copy. Entries with a stale stamp are dead.
+    /// Epoch-stamped what-if overlay (dense, `slot = id − 1`): the shadow
+    /// replay and the preemption proof first-touch copy each node they
+    /// release on from the node-table columns into `shadow_overlay`
+    /// (stamping `shadow_stamp` with the pass's epoch), so a pass costs
+    /// O(touched releases) instead of an O(nodes) copy. Entries with a
+    /// stale stamp are dead.
     shadow_overlay: Vec<ShadowNode>,
     /// Per-slot epoch of the last replay that touched it.
     shadow_stamp: Vec<u64>,
-    /// Monotonic replay counter for the overlay stamps.
+    /// Monotonic pass counter for the overlay stamps.
     shadow_epoch: u64,
     /// Bumped on every claim/release/fail/repair/add — anything that could
     /// change a placement or shadow answer.
@@ -478,32 +475,11 @@ pub struct Scheduler {
     policy_head_cache: BTreeMap<String, (JobId, u64)>,
     /// Per-class shadow memo `(head, state_version, shadow)`.
     policy_shadow_cache: BTreeMap<String, (JobId, u64, SimTime)>,
-    // ---- per-partition capacity mirrors + incremental head fit ----
-    /// Flat per-partition capacity mirrors (id-ascending), lazily built and
-    /// then maintained on every claim/release — partitioned shadow and
-    /// calendar builds are flat copies instead of node-map walks.
-    part_mirrors: BTreeMap<String, Vec<ShadowNode>>,
-    /// Node → partitions whose mirror contains it (mirror maintenance).
-    node_parts: BTreeMap<NodeId, Vec<String>>,
-    /// Bumped on every partition-table mutation; mirrors rebuilt lazily
-    /// when they trail this.
-    partitions_version: u64,
-    /// `partitions_version` the current mirrors were built against.
-    part_mirror_version: u64,
     /// Incrementally-maintained total task-fit for the current head
     /// (`Σ fit` over its eligible nodes), updated on every claim/release/
     /// fail/repair delta — drops the remaining O(nodes) initial sum from
     /// each shadow compute.
     head_fit: Option<HeadFit>,
-    // ---- sharded dispatch (fair-share classes fan out over rayon) ----
-    /// Worker width for per-class head planning. `1` (the default) plans
-    /// inline; any width produces bit-identical schedules (see the module
-    /// docs' shard-merge determinism rule).
-    shard_threads: usize,
-    /// Per-class head plans precomputed by [`Scheduler::plan_shards`],
-    /// consumed (and re-validated against `(head, state_version)`) by the
-    /// sequential class merge.
-    shard_seeds: BTreeMap<String, ShardSeed>,
     events: BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
     next_job: u64,
     next_node: u32,
@@ -667,80 +643,6 @@ struct BfScan {
     exhausted: bool,
 }
 
-/// One class's precomputed head plan from [`Scheduler::plan_shards`]: the
-/// candidate walk's result against that class's capacity mirror at a frozen
-/// `state_version`. `plan` holds `(node, tasks)` pairs (mirrors carry no
-/// capacity-total columns, so the merge materializes real `TaskAlloc`s from
-/// the live nodes); `fit_total` is the walk's uncapped Σ fit, used to prime
-/// [`HeadFit`] on failure exactly like the inline walk would.
-#[derive(Debug, Clone)]
-struct ShardSeed {
-    head: JobId,
-    version: u64,
-    fit_total: u64,
-    plan: Option<Vec<(NodeId, u32)>>,
-}
-
-/// The pure, thread-safe half of the placement walk: reproduce
-/// [`Scheduler::placement_walk`]'s candidate order and fit arithmetic
-/// against a capacity mirror alone, with no access to the scheduler. Two
-/// ascending-id passes — the user's solely-owned nodes (mirror `owner ==
-/// user`, exactly the `owned_nodes` membership), then the policy source
-/// set (free cores on the shared path, idle otherwise, skipping the
-/// owned nodes) — produce the identical `(node, tasks)` pairs and the
-/// identical uncapped Σ fit the inline walk would, which is what makes a
-/// consumed [`ShardSeed`] bit-equivalent to not sharding at all.
-fn plan_from_mirror(
-    mirror: &[ShadowNode],
-    spec: &JobSpec,
-    policy: NodeSharing,
-) -> (Option<Vec<(NodeId, u32)>>, u64) {
-    let user = spec.user;
-    let shared_path = matches!(policy, NodeSharing::Shared) && !spec.request_exclusive;
-    let mut remaining = spec.tasks;
-    let mut fit_total = 0u64;
-    let mut plan = Vec::new();
-    // Phase 1: solely-owned nodes (packing affinity), id order.
-    for sn in mirror {
-        if sn.owner != Some(user) {
-            continue;
-        }
-        let full = sn.fit(spec, policy);
-        fit_total += full;
-        let fit = (full.min(u32::MAX as u64) as u32).min(remaining);
-        if fit > 0 {
-            plan.push((sn.id, fit));
-            remaining -= fit;
-        }
-    }
-    // Phase 2: the policy source set, id order, skipping phase-1 nodes.
-    for sn in mirror {
-        if sn.owner == Some(user) {
-            continue; // phase 1 (idle nodes are never owned)
-        }
-        let in_source = if shared_path {
-            sn.up && sn.free_cores > 0
-        } else {
-            sn.up && sn.jobs == 0
-        };
-        if !in_source {
-            continue;
-        }
-        let full = sn.fit(spec, policy);
-        fit_total += full;
-        let fit = (full.min(u32::MAX as u64) as u32).min(remaining);
-        if fit > 0 {
-            plan.push((sn.id, fit));
-            remaining -= fit;
-        }
-    }
-    if remaining == 0 {
-        (Some(plan), fit_total)
-    } else {
-        (None, fit_total)
-    }
-}
-
 impl Scheduler {
     /// An empty scheduler.
     pub fn new(config: SchedConfig) -> Self {
@@ -756,8 +658,6 @@ impl Scheduler {
             idle_nodes: NodeSet::new(),
             avail_nodes: NodeSet::new(),
             owned_nodes: BTreeMap::new(),
-            scan_scratch: Vec::new(),
-            shadow_mirror: Vec::new(),
             shadow_overlay: Vec::new(),
             shadow_stamp: Vec::new(),
             shadow_epoch: 0,
@@ -777,13 +677,7 @@ impl Scheduler {
             calendars: BTreeMap::new(),
             policy_head_cache: BTreeMap::new(),
             policy_shadow_cache: BTreeMap::new(),
-            part_mirrors: BTreeMap::new(),
-            node_parts: BTreeMap::new(),
-            partitions_version: 0,
-            part_mirror_version: 0,
             head_fit: None,
-            shard_threads: 1,
-            shard_seeds: BTreeMap::new(),
             events: BinaryHeap::new(),
             next_job: 1,
             next_node: 1,
@@ -814,21 +708,6 @@ impl Scheduler {
         self.obs = SchedObs::new(&cfg);
     }
 
-    /// Fan per-partition head planning out over `n` OS threads (the rayon
-    /// shim's explicit-width entry). `1` (the default) plans inline. Any
-    /// width yields bit-identical schedules: shards only *precompute*
-    /// plans against the cycle's frozen state, and consumption keeps the
-    /// sequential `(partition, enqueue-seq)` merge order —
-    /// `tests/sched_parallel_equivalence.rs` proves the sweep.
-    pub fn set_shard_threads(&mut self, n: usize) {
-        self.shard_threads = n.max(1);
-    }
-
-    /// Current shard planning width.
-    pub fn shard_threads(&self) -> usize {
-        self.shard_threads
-    }
-
     /// Attach the causal context a traced submission arrived with; the
     /// dispatch that eventually starts the job records a
     /// `sched.job.dispatch` span under it. No-op for quiet contexts or a
@@ -848,9 +727,9 @@ impl Scheduler {
         if cores > 0 {
             self.avail_nodes.insert(id);
         }
-        let sn = ShadowNode::from_node(&self.nodes[&id]);
-        self.shadow_mirror.push(sn);
-        // Overlay scratch grows in lockstep with the mirror (stale stamp ⇒
+        let sn = ShadowNode::from_cols(&self.nodes.cols(), slot_of(id))
+            .expect("the node was just pushed");
+        // Overlay scratch grows in lockstep with the table (stale stamp ⇒
         // the placeholder entry is never read).
         self.shadow_overlay.push(sn);
         self.shadow_stamp.push(0);
@@ -865,69 +744,52 @@ impl Scheduler {
         id
     }
 
-    /// Refresh one node's entry in the persistent shadow mirror, the
-    /// per-partition mirrors that contain it, and the maintained head
-    /// total-fit. Every capacity transition (claim/release/fail/repair)
-    /// funnels through here, which is what lets shadow builds start from a
-    /// flat copy and a ready-made sum instead of an O(nodes) walk.
+    /// Refresh one node's SoA columns and the maintained head total-fit.
+    /// Every capacity transition (claim/release/fail/repair) funnels
+    /// through here, so column reads between decisions always see the
+    /// node's current state. The head-fit delta reads the node's old fit
+    /// off the columns before they are synced.
     fn mirror_update(&mut self, nid: NodeId) {
-        self.nodes.sync(nid);
-        let sn = ShadowNode::from_node(&self.nodes[&nid]);
-        let idx = slot_of(nid);
-        let old = self.shadow_mirror[idx];
-        self.shadow_mirror[idx] = sn;
-        if let Some(hf) = &mut self.head_fit {
-            let in_scope = match &hf.part {
-                None => true,
-                Some(p) => self
-                    .partitions
-                    .get(p)
-                    .is_some_and(|part| part.nodes.contains(&nid)),
-            };
-            if in_scope {
-                let policy = self.config.policy;
-                hf.total = hf.total + sn.fit(&hf.spec, policy) - old.fit(&hf.spec, policy);
+        let policy = self.config.policy;
+        let slot = slot_of(nid);
+        let tracked = self.head_fit.as_mut().filter(|hf| match &hf.part {
+            None => true,
+            Some(p) => self
+                .partitions
+                .get(p)
+                .is_some_and(|part| part.nodes.contains(&nid)),
+        });
+        match tracked {
+            Some(hf) => {
+                let old = Self::col_fit(&self.nodes.cols(), slot, &hf.spec, policy);
+                self.nodes.sync(nid);
+                let new = Self::col_fit(&self.nodes.cols(), slot, &hf.spec, policy);
+                hf.total = hf.total + new - old;
             }
-        }
-        if let Some(parts) = self.node_parts.get(&nid) {
-            for p in parts {
-                if let Some(m) = self.part_mirrors.get_mut(p) {
-                    if let Ok(i) = m.binary_search_by_key(&nid, |e| e.id) {
-                        m[i] = sn;
-                    }
-                }
-            }
+            None => self.nodes.sync(nid),
         }
     }
 
-    /// Make sure the per-partition mirrors match the current partition
-    /// table generation, then build (once) and return the mirror for
-    /// partition `name`: its member nodes' capacity entries, id-ascending.
-    fn part_mirror(&mut self, name: &str) -> &[ShadowNode] {
-        if self.part_mirror_version != self.partitions_version {
-            self.part_mirrors.clear();
-            self.node_parts.clear();
-            self.part_mirror_version = self.partitions_version;
-        }
-        if !self.part_mirrors.contains_key(name) {
-            let members: Vec<NodeId> = self
+    /// A class's nodes as what-if capacity values read off the columns,
+    /// id-ascending: a partition's members, or every node when `part` is
+    /// `None`. The reservation planners start from this.
+    fn capacity_base(&self, part: Option<&str>) -> Vec<ShadowNode> {
+        let cols = self.nodes.cols();
+        match part {
+            Some(p) => self
                 .partitions
-                .get(name)
-                .map(|p| p.nodes.iter().copied().collect())
-                .unwrap_or_default();
-            let mut mirror = Vec::with_capacity(members.len());
-            for nid in &members {
-                if let Some(sn) = self.shadow_mirror.get(slot_of(*nid)) {
-                    mirror.push(*sn);
-                    self.node_parts
-                        .entry(*nid)
-                        .or_default()
-                        .push(name.to_string());
-                }
-            }
-            self.part_mirrors.insert(name.to_string(), mirror);
+                .get(p)
+                .map(|p| {
+                    p.nodes
+                        .iter()
+                        .filter_map(|nid| ShadowNode::from_cols(&cols, slot_of(*nid)))
+                        .collect()
+                })
+                .unwrap_or_default(),
+            None => (0..self.nodes.len())
+                .filter_map(|slot| ShadowNode::from_cols(&cols, slot))
+                .collect(),
         }
-        &self.part_mirrors[name]
     }
 
     /// Register an operator/coordinator exempt from PrivateData filtering.
@@ -946,14 +808,12 @@ impl Scheduler {
     }
 
     /// Mutable access to the partition table. Changing partitions changes
-    /// which nodes are eligible, so the memoized placement/shadow answers,
-    /// the per-partition capacity mirrors, and the maintained head fit are
-    /// all invalidated here. Configure partitions *before* jobs queue —
-    /// the policy plane's per-partition queues key jobs by the partition
-    /// resolution in force at submit time.
+    /// which nodes are eligible, so the memoized placement/shadow answers
+    /// and the maintained head fit are both invalidated here. Configure
+    /// partitions *before* jobs queue — the policy plane's per-partition
+    /// queues key jobs by the partition resolution in force at submit time.
     pub fn partitions_mut(&mut self) -> &mut PartitionTable {
         self.state_version += 1;
-        self.partitions_version += 1;
         self.head_fit = None;
         &mut self.partitions
     }
@@ -1052,13 +912,7 @@ impl Scheduler {
                 // top of the finished profile (all held starts charged),
                 // instead of the optimistic single-job shadow bound. The
                 // probe is read-only — nothing is held for the job.
-                if let Some(p) = &class {
-                    self.part_mirror(p);
-                }
-                let base: Vec<ShadowNode> = match &class {
-                    Some(p) => self.part_mirrors[p].clone(),
-                    None => self.shadow_mirror.clone(),
-                };
+                let base = self.capacity_base(class.as_deref());
                 let profile = self
                     .calendars
                     .get(&ckey)
@@ -1809,12 +1663,12 @@ impl Scheduler {
     /// the head exists **iff** the summed per-node fit reaches its task
     /// count (per-node fits are independent), so the first release that
     /// pushes the sum over the line is the shadow time. No node-map clone,
-    /// no repeated full placements, reusable scratch. The capacity vector
-    /// is a flat copy of the maintained mirror — the whole-cluster one or
-    /// the per-partition one — and the initial total-fit sum comes from
-    /// the incrementally-maintained [`HeadFit`] when this head was already
-    /// being tracked, so a shadow recompute after a claim/release delta
-    /// costs O(releases) rather than O(nodes).
+    /// no repeated full placements, reusable scratch. Released-on nodes are
+    /// first-touch copied from the node-table columns into the overlay,
+    /// and the initial total-fit sum comes from the incrementally-maintained
+    /// [`HeadFit`] when this head was already being tracked, so a shadow
+    /// recompute after a claim/release delta costs O(releases) rather than
+    /// O(nodes).
     fn shadow_time_for(&mut self, head: JobId, spec: &Arc<JobSpec>) -> SimTime {
         self.shadow_time_inner(head, spec, true)
     }
@@ -1837,18 +1691,21 @@ impl Scheduler {
         self.shadow_replay(spec, &part, total)
     }
 
-    /// `Σ fit(spec)` over one partition's members, read straight off the
-    /// dense whole-cluster mirror (a part mirror need not be built).
-    fn part_fit_sum(&self, part: &str, spec: &JobSpec) -> u64 {
+    /// `Σ fit(spec)` over a class's nodes, read off the node-table
+    /// columns: a partition's members, or every node when `part` is `None`.
+    fn fit_sum(&self, part: &Option<String>, spec: &JobSpec) -> u64 {
         let policy = self.config.policy;
-        match self.partitions.get(part) {
-            Some(p) => p
-                .nodes
-                .iter()
-                .filter_map(|nid| self.shadow_mirror.get(slot_of(*nid)))
-                .map(|sn| sn.fit(spec, policy))
+        let cols = self.nodes.cols();
+        match part {
+            Some(p) => self.partitions.get(p).map_or(0, |p| {
+                p.nodes
+                    .iter()
+                    .map(|nid| Self::col_fit(&cols, slot_of(*nid), spec, policy))
+                    .sum()
+            }),
+            None => (0..self.nodes.len())
+                .map(|slot| Self::col_fit(&cols, slot, spec, policy))
                 .sum(),
-            None => 0,
         }
     }
 
@@ -1863,28 +1720,17 @@ impl Scheduler {
         part: &Option<String>,
         track: bool,
     ) -> u64 {
-        let policy = self.config.policy;
         let hit = matches!(&self.head_fit, Some(hf) if hf.job == head && hf.part == *part);
         if hit {
             let total = self.head_fit.as_ref().map_or(0, |hf| hf.total);
             debug_assert_eq!(
                 total,
-                match part {
-                    Some(p) => self.part_fit_sum(p, spec),
-                    None => self
-                        .shadow_mirror
-                        .iter()
-                        .map(|sn| sn.fit(spec, policy))
-                        .sum::<u64>(),
-                },
-                "incremental head fit drifted from the mirror"
+                self.fit_sum(part, spec),
+                "incremental head fit drifted from the node columns"
             );
             return total;
         }
-        let total = match part {
-            Some(p) => self.part_fit_sum(p, spec),
-            None => self.shadow_mirror.iter().map(|sn| sn.fit(spec, policy)).sum(),
-        };
+        let total = self.fit_sum(part, spec);
         if track {
             self.head_fit = Some(HeadFit {
                 job: head,
@@ -1898,8 +1744,8 @@ impl Scheduler {
 
     /// Replay running-job releases in end-time order through the
     /// epoch-stamped overlay: each touched node is first-touch copied from
-    /// the persistent mirror, so a replay costs O(touched releases) — no
-    /// O(nodes) mirror copy, partitioned or not. `running_ends` is
+    /// the node-table columns, so a replay costs O(touched releases) — no
+    /// O(nodes) copy, partitioned or not. `running_ends` is
     /// maintained in end-time order, so no per-cycle collect + sort either.
     fn shadow_replay(&mut self, spec: &Arc<JobSpec>, part: &Option<String>, mut total: u64) -> SimTime {
         let policy = self.config.policy;
@@ -1913,6 +1759,7 @@ impl Scheduler {
         let epoch = self.shadow_epoch;
         let mut overlay = std::mem::take(&mut self.shadow_overlay);
         let mut stamp = std::mem::take(&mut self.shadow_stamp);
+        let cols = self.nodes.cols();
         let members: Option<&BTreeSet<NodeId>> = part
             .as_deref()
             .and_then(|p| self.partitions.get(p))
@@ -1923,18 +1770,11 @@ impl Scheduler {
                 if members.is_some_and(|set| !set.contains(&nid)) {
                     continue; // allocation on an ineligible node
                 }
-                let i = slot_of(nid);
-                let (Some(st), Some(sn)) = (stamp.get_mut(i), overlay.get_mut(i)) else {
-                    continue;
-                };
-                if *st != epoch {
-                    let Some(base) = self.shadow_mirror.get(i) else {
-                        continue;
-                    };
-                    *sn = *base;
-                    *st = epoch;
+                if let Some(sn) =
+                    overlay_entry(&mut overlay, &mut stamp, &cols, slot_of(nid), epoch)
+                {
+                    sn.fold_release(alloc, spec, policy, &mut total);
                 }
-                sn.fold_release(alloc, spec, policy, &mut total);
             }
             if total >= needed {
                 result = end_t;
@@ -2153,113 +1993,12 @@ impl Scheduler {
     fn try_schedule_policy(&mut self) {
         if self.config.fair_share {
             let classes: Vec<String> = self.part_fifo.keys().cloned().collect();
-            if self.shard_threads > 1 && classes.len() > 1 {
-                self.plan_shards(&classes);
-            }
             for class in classes {
                 self.schedule_class(Some(class));
             }
         } else {
             self.schedule_class(None);
         }
-    }
-
-    /// Fan the per-class head *planning* out over the rayon shim: for each
-    /// class whose head is neither memo-blocked nor fit-gated, run the
-    /// candidate walk against that class's capacity mirror on a worker
-    /// thread and stash the result as a [`ShardSeed`]. Pure precomputation
-    /// against the frozen `state_version` — consumption happens in the
-    /// sequential class merge ([`Scheduler::schedule_class`]), which
-    /// re-validates `(head, version)` and falls back to the inline walk on
-    /// any staleness, so schedules are bit-identical at every width. Only
-    /// the `sched.shard.*` counters record here (they are the counters
-    /// allowed to vary with thread count — see [`crate::obs`]).
-    fn plan_shards(&mut self, classes: &[String]) {
-        self.shard_seeds.clear();
-        let version = self.state_version;
-        let policy = self.config.policy;
-        // Sequential, cheap phase: select each class's head, apply the
-        // same memo/gate skips the merge will apply, and pin its mirror.
-        let mut picked: Vec<(String, JobId, Arc<JobSpec>)> = Vec::new();
-        for class in classes {
-            let Some(head) = self.select_head(Some(class)) else {
-                continue;
-            };
-            let known_blocked = self
-                .policy_head_cache
-                .get(class)
-                .is_some_and(|&(j, v)| j == head && v == version);
-            if known_blocked {
-                continue;
-            }
-            let spec = Arc::clone(&self.jobs[&head].spec);
-            let part = (!class.is_empty()).then(|| class.clone());
-            let gated = matches!(
-                &self.head_fit,
-                Some(hf) if hf.job == head && hf.part == part
-                    && hf.total < spec.tasks as u64
-            );
-            if gated {
-                continue; // the merge will gate it in O(1) too
-            }
-            if !class.is_empty() {
-                self.part_mirror(class); // build before borrowing below
-            }
-            picked.push((class.clone(), head, spec));
-        }
-        if picked.is_empty() {
-            return;
-        }
-        // analyze:hot-path-begin(sched-shard-plan)
-        let planned = picked.len() as u64;
-        let work: Vec<(String, JobId, Arc<JobSpec>, &[ShadowNode])> = picked
-            .into_iter()
-            .map(|(class, head, spec)| {
-                let mirror: &[ShadowNode] = if class.is_empty() {
-                    &self.shadow_mirror
-                } else {
-                    self.part_mirrors
-                        .get(&class)
-                        .map(|m| m.as_slice())
-                        .unwrap_or(&[])
-                };
-                (class, head, spec, mirror)
-            })
-            .collect();
-        let seeds = rayon::with_threads(self.shard_threads, work, |(class, head, spec, mirror)| {
-            let (plan, fit_total) = plan_from_mirror(mirror, &spec, policy);
-            (
-                class,
-                ShardSeed {
-                    head,
-                    version,
-                    fit_total,
-                    plan,
-                },
-            )
-        });
-        for (class, seed) in seeds {
-            self.shard_seeds.insert(class, seed);
-        }
-        self.obs.rec.add(self.obs.c_shard_plans, planned);
-        // analyze:hot-path-end
-    }
-
-    /// Materialize a shard plan's `(node, tasks)` pairs into real
-    /// allocations from the live node table (mirrors carry no capacity
-    /// totals, which `alloc_for` needs for whole-node charging).
-    fn materialize_plan(&self, spec: &JobSpec, pairs: Vec<(NodeId, u32)>) -> Vec<(NodeId, TaskAlloc)> {
-        // analyze:hot-path-begin(sched-shard-merge)
-        let policy = self.config.policy;
-        pairs
-            .into_iter()
-            .filter_map(|(nid, fit)| {
-                self.nodes
-                    .get(&nid)
-                    .map(|n| (nid, Self::alloc_for(n, spec, policy, fit)))
-            })
-            .collect()
-        // analyze:hot-path-end
     }
 
     /// The head of a scheduling class.
@@ -2348,50 +2087,12 @@ impl Scheduler {
                     None
                 } else {
                     let tok = self.obs.rec.span_start();
-                    // A shard seed planned for exactly this (head, version)
-                    // replaces the inline walk; anything stale falls back.
-                    // analyze:hot-path-begin(sched-shard-merge)
-                    let seed = self
-                        .shard_seeds
-                        .remove(&ckey)
-                        .filter(|s| {
-                            let fresh = s.head == head && s.version == self.state_version;
-                            if !fresh {
-                                self.obs.rec.incr(self.obs.c_shard_seed_stale);
-                            }
-                            fresh
-                        });
-                    // analyze:hot-path-end
-                    let (p, fit_sum) = match seed {
-                        Some(s) => {
-                            self.obs.rec.incr(self.obs.c_shard_seed_hits);
-                            let p = s.plan.map(|pairs| self.materialize_plan(&head_spec, pairs));
-                            #[cfg(debug_assertions)]
-                            {
-                                // Differential guard: a consumed seed must
-                                // be indistinguishable from the inline walk.
-                                let eligible = self
-                                    .partitions
-                                    .eligible_nodes(head_spec.partition.as_deref())
-                                    .expect("validated at submit");
-                                let (q, qsum) = self.placement_walk(&head_spec, eligible);
-                                debug_assert_eq!(p, q, "shard plan diverged from inline walk");
-                                if q.is_none() {
-                                    debug_assert_eq!(
-                                        s.fit_total, qsum,
-                                        "shard fit sum diverged from inline walk"
-                                    );
-                                }
-                            }
-                            (p, s.fit_total)
-                        }
-                        None => {
-                            let eligible = self
-                                .partitions
-                                .eligible_nodes(head_spec.partition.as_deref())
-                                .expect("validated at submit");
-                            self.placement_walk(&head_spec, eligible)
-                        }
+                    let (p, fit_sum) = {
+                        let eligible = self
+                            .partitions
+                            .eligible_nodes(head_spec.partition.as_deref())
+                            .expect("validated at submit");
+                        self.placement_walk(&head_spec, eligible)
                     };
                     self.obs.rec.span_end(self.obs.sp_dispatch, tok);
                     if p.is_none() {
@@ -2580,11 +2281,10 @@ impl Scheduler {
             .resolve(spec.partition.as_deref())
             .expect("validated at submit")
             .map(str::to_string);
-        let eligible: Option<BTreeSet<NodeId>> = self
+        let eligible = self
             .partitions
             .eligible_nodes(spec.partition.as_deref())
-            .expect("validated at submit")
-            .cloned();
+            .expect("validated at submit");
         // Candidate victims: running, strictly lower class, holding at
         // least one eligible node. Cost-sorted ascending.
         let mut victims: Vec<(u64, JobId)> = Vec::new();
@@ -2593,10 +2293,8 @@ impl Scheduler {
             if !qos.may_preempt(vj.spec.qos) {
                 continue;
             }
-            if let Some(set) = &eligible {
-                if !vj.allocations.keys().any(|n| set.contains(n)) {
-                    continue;
-                }
+            if eligible.is_some_and(|set| !vj.allocations.keys().any(|n| set.contains(n))) {
+                continue;
             }
             let cores: u64 = vj.allocations.values().map(|a| a.cores as u64).sum();
             let remaining = end_t.since(self.now).as_secs_f64();
@@ -2606,37 +2304,37 @@ impl Scheduler {
             return None;
         }
         victims.sort_unstable();
-        // Simulate releases over the reusable scratch capacity copy until
-        // the head's fit-sum clears its task count (allocation-free in
-        // steady state — the buffer persists across calls).
-        if let Some(p) = &part {
-            self.part_mirror(p);
-        }
-        let mut snodes = std::mem::take(&mut self.scan_scratch);
-        snodes.clear();
-        match &part {
-            Some(p) => snodes.extend_from_slice(&self.part_mirrors[p]),
-            None => snodes.extend_from_slice(&self.shadow_mirror),
-        }
+        // Simulate releases through the epoch-stamped overlay until the
+        // head's fit-sum clears its task count: each node a victim holds is
+        // first-touch copied from the node-table columns, so the proof
+        // touches only the victims' nodes (allocation-free in steady state).
         let needed = spec.tasks as u64;
-        let mut total: u64 = snodes.iter().map(|sn| sn.fit(spec, policy)).sum();
+        let mut total = self.fit_sum(&part, spec);
+        self.shadow_epoch += 1;
+        let epoch = self.shadow_epoch;
+        let mut overlay = std::mem::take(&mut self.shadow_overlay);
+        let mut stamp = std::mem::take(&mut self.shadow_stamp);
+        let cols = self.nodes.cols();
         let mut chosen: Vec<JobId> = Vec::new();
         for (_, v) in victims {
             if total >= needed {
                 break;
             }
             for (&nid, alloc) in &self.jobs[&v].allocations {
-                let Ok(i) = snodes.binary_search_by_key(&nid, |sn| sn.id) else {
-                    continue;
-                };
-                if let Some(sn) = snodes.get_mut(i) {
+                if eligible.is_some_and(|set| !set.contains(&nid)) {
+                    continue; // the head cannot use this node
+                }
+                if let Some(sn) =
+                    overlay_entry(&mut overlay, &mut stamp, &cols, slot_of(nid), epoch)
+                {
                     sn.fold_release(alloc, spec, policy, &mut total);
                 }
             }
             chosen.push(v);
         }
         let feasible = total >= needed;
-        self.scan_scratch = snodes;
+        self.shadow_overlay = overlay;
+        self.shadow_stamp = stamp;
         if !feasible {
             return None; // even killing every eligible victim won't fit it
         }
@@ -2656,7 +2354,7 @@ impl Scheduler {
     }
 
     /// Kill-and-requeue one victim: release its holdings (placement index,
-    /// mirrors, and head fit stay current), emit the full separation
+    /// node columns, and head fit stay current), emit the full separation
     /// epilog per node — the scrub/cleanup the cluster layer runs *before*
     /// any new tenant's prolog — charge its consumed work to the
     /// fair-share ledger, bump its run epoch (stale end events die), and
@@ -2842,13 +2540,7 @@ impl Scheduler {
                 return;
             }
         }
-        if let Some(p) = class {
-            self.part_mirror(p);
-        }
-        let base: Vec<ShadowNode> = match class {
-            Some(p) => self.part_mirrors[p].clone(),
-            None => self.shadow_mirror.clone(),
-        };
+        let base = self.capacity_base(class);
         let tok = self.obs.rec.span_start();
         // Capacity deltas over time: running releases (+), reservation
         // claims (−) and releases (+). Kept time-sorted.

@@ -7,7 +7,7 @@
 //! getters feed the struct-of-arrays columns in [`crate::table::NodeTable`]
 //! through its `sync` funnel — a claim or release here is invisible to
 //! column scans until the engine syncs the slot, which is why every
-//! mutation routes through the engine's mirror-update funnel.
+//! mutation routes through the engine's `mirror_update` funnel.
 
 use crate::job::{JobId, TaskAlloc};
 use eus_simos::{NodeId, Uid};

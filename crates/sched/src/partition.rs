@@ -18,13 +18,12 @@
 //!   keys its per-partition queues and the decayed usage ledger by
 //!   [`PartitionTable::resolve`]d partition name, so one partition's
 //!   backlog cannot head-of-line-block another partition's dispatch or
-//!   backfill budget. The per-partition capacity mirrors that give
-//!   partitioned shadow builds their flat-copy path are keyed the same way.
+//!   backfill budget.
 //!
 //! The table is expected to be configured once, before jobs run (like
 //! `SchedConfig::policy`); `Scheduler::partitions_mut` invalidates every
-//! derived structure (memoized placements, shadows, capacity mirrors) to
-//! keep mid-run edits safe, at the cost of a rebuild.
+//! derived structure (memoized placements, shadows, the maintained head
+//! fit) to keep mid-run edits safe, at the cost of a rebuild.
 
 use eus_simos::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -72,7 +71,7 @@ pub struct PartitionTable {
     /// Cached name of the default partition (lexicographically smallest
     /// when several are flagged, matching the scan order the lookups used
     /// before the cache). `resolve(None)` / `eligible_nodes(None)` run on
-    /// every unpartitioned head attempt and shard plan, so the default
+    /// every unpartitioned head attempt, so the default
     /// lookup must be O(1), not a table scan.
     default_name: Option<String>,
 }
@@ -156,7 +155,7 @@ impl PartitionTable {
     /// actually run in: `None` in, the default partition's name out. With
     /// an empty table returns `None`, meaning "the whole, unpartitioned
     /// cluster". This is the key the policy plane's per-partition queues,
-    /// usage ledger, and capacity mirrors are indexed by.
+    /// and usage ledger are indexed by.
     pub fn resolve(&self, partition: Option<&str>) -> Result<Option<&str>, PartitionError> {
         if self.partitions.is_empty() {
             return Ok(None);

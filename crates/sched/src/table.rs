@@ -5,9 +5,12 @@
 //! placement-relevant fields into struct-of-arrays columns: a candidate
 //! scan that rejects a node on `free_cores` alone touches 4 bytes, not a
 //! 200-byte struct behind a `BTreeMap` pointer chase. The columns are
-//! refreshed through [`NodeTable::sync`], which the engine calls from the
-//! same funnel that maintains the shadow mirror (`mirror_update`), so the
-//! columns can never drift from the slots between scheduling decisions.
+//! refreshed through [`NodeTable::sync`], which the engine calls from its
+//! capacity-transition funnel (`mirror_update`), so the columns can never
+//! drift from the slots between scheduling decisions. They are the
+//! engine's only copy of node capacity: placement walks, the shadow
+//! overlay, the preemption proof and the reservation calendar all read
+//! them.
 //!
 //! [`NodeSet`] replaces the old `BTreeSet<NodeId>` idle/avail indexes with
 //! a bitmap whose iteration order is still ascending node id — the
@@ -102,7 +105,7 @@ impl NodeTable {
     }
 
     /// Refresh slot `id`'s columns from its `SchedNode`. The engine calls
-    /// this from the mirror-update funnel after every claim / release /
+    /// this from its `mirror_update` funnel after every claim / release /
     /// fail / repair, so column reads between scheduling decisions always
     /// see the slot's current state.
     pub fn sync(&mut self, id: NodeId) {
@@ -152,7 +155,7 @@ impl NodeTable {
     }
 
     /// Mutably borrow a node. Callers that change placement-relevant state
-    /// must route through the engine's mirror-update funnel (which calls
+    /// must route through the engine's `mirror_update` funnel (which calls
     /// [`NodeTable::sync`]) before the next column scan.
     pub fn get_mut(&mut self, id: &NodeId) -> Option<&mut SchedNode> {
         self.slots.get_mut(slot_of(*id))

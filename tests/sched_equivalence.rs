@@ -8,6 +8,11 @@
 //!
 //! The two engines share job/node/policy types, so any divergence is in the
 //! scheduling data structures themselves — exactly what this suite guards.
+//!
+//! The policy-plane knobs (fair-share, preemption, reservations) have no
+//! reference oracle, so `knobs_on_decisions_are_pinned` fingerprints their
+//! decisions over a fixed replay grid and compares against constants: any
+//! engine change that alters a knobs-on decision turns it red.
 
 use hpc_user_separation::obs::ObsConfig;
 use hpc_user_separation::sched::{
@@ -19,6 +24,7 @@ use hpc_user_separation::simos::{Credentials, Gid, NodeId, Uid, UserDb};
 use hpc_user_separation::workloads::{UserPopulation, WorkloadMix};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Per-property case count; CI can raise it via `SCHED_PROPTEST_CASES`.
@@ -39,10 +45,13 @@ fn policy_from(i: u8) -> NodeSharing {
 
 /// A randomized trace decorated with the request shapes the engines must
 /// agree on: per-job `--exclusive`, tight wall-time limits (Timeout path +
-/// backfill bounds), QoS classes (carried but inert with the policy plane
-/// off — the default config under test), and partition routing (including
-/// a submit-time reject).
-fn decorated_trace(seed: u64, with_partitions: bool) -> Vec<(SimTime, Arc<JobSpec>)> {
+/// backfill bounds), QoS classes (inert with the policy plane off, driving
+/// preemption with it on), and partition routing: `route(i)` names the
+/// partition job `i` requests.
+fn decorated_trace(
+    seed: u64,
+    route: impl Fn(usize) -> Option<&'static str>,
+) -> Vec<(SimTime, Arc<JobSpec>)> {
     let mut rng = SimRng::seed_from_u64(seed);
     let mut db = UserDb::new();
     let pop = UserPopulation::build(&mut db, 10, 3, 1.0, &mut rng);
@@ -68,14 +77,7 @@ fn decorated_trace(seed: u64, with_partitions: bool) -> Vec<(SimTime, Arc<JobSpe
                 spec.time_limit =
                     SimDuration::from_secs_f64((spec.duration.as_secs_f64() / 2.0).max(1.0));
             }
-            if with_partitions {
-                spec.partition = match i % 6 {
-                    0 => Some("batch".to_string()),
-                    1 => Some("debug".to_string()),
-                    2 if i % 36 == 2 => Some("nope".to_string()), // rejected at submit
-                    _ => None,
-                };
-            }
+            spec.partition = route(i).map(str::to_string);
             (e.at, Arc::new(spec))
         })
         .collect()
@@ -180,7 +182,13 @@ fn drive_pair(
     failures: u32,
     with_partitions: bool,
 ) -> Result<(), TestCaseError> {
-    let trace = decorated_trace(seed, with_partitions);
+    let trace = decorated_trace(seed, |i| match i % 6 {
+        _ if !with_partitions => None,
+        0 => Some("batch"),
+        1 => Some("debug"),
+        2 if i % 36 == 2 => Some("nope"), // rejected at submit
+        _ => None,
+    });
     for (at, spec) in &trace {
         let a = pair.opt.submit_at_shared(*at, Arc::clone(spec));
         let b = pair.reference.submit_at_shared(*at, Arc::clone(spec));
@@ -349,4 +357,136 @@ fn backfill_never_delays_head_at_1k_nodes() {
         "head started exactly at its shadow time — backfill delayed nothing"
     );
     assert!(s.jobs[&long].started.unwrap() >= SimTime::from_secs(100));
+}
+
+/// The knobs-on policy configs the pinned replay covers. Fair share is
+/// always on: per-partition classes are what the policy plane adds.
+fn knobs_from(i: u8, policy: NodeSharing) -> SchedConfig {
+    let mut cfg = SchedConfig {
+        policy,
+        fair_share: true,
+        ..SchedConfig::default()
+    };
+    match i % 4 {
+        0 => {}
+        1 => cfg.preemption = true,
+        2 => cfg.reservations = 4,
+        _ => {
+            cfg.preemption = true;
+            cfg.reservations = 4;
+        }
+    }
+    cfg
+}
+
+/// FNV-1a over everything written into it.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Replay `decorated_trace(seed)` under one knobs-on config on the 12-node,
+/// two-partition cluster, with `failures` node crashes, and fingerprint
+/// every decision: job states, starts, ends and allocations, preemption
+/// records, epilog order, the full flight stream, and every counter.
+fn knobs_on_fingerprint(seed: u64, policy: NodeSharing, knobs: u8, failures: u32) -> u64 {
+    const NODES: u32 = 12;
+    let mut s = Scheduler::new(knobs_from(knobs, policy));
+    s.enable_obs(ObsConfig::enabled().with_flight_capacity(1 << 16));
+    for _ in 0..NODES {
+        s.add_node(16, 65_536, 2);
+    }
+    let half = NODES / 2;
+    let batch: Vec<NodeId> = (1..=half).map(NodeId).collect();
+    let debug: Vec<NodeId> = (half + 1..=NODES).map(NodeId).collect();
+    s.partitions_mut().add("batch", batch, true).unwrap();
+    s.partitions_mut().add("debug", debug, false).unwrap();
+    let route = |i: usize| match i % 5 {
+        0 | 1 => Some("batch"),
+        2 => Some("debug"),
+        _ => None, // resolves to the default partition's class
+    };
+    for (at, spec) in decorated_trace(seed, route) {
+        s.submit_at_shared(at, spec);
+    }
+    let mut frng = SimRng::seed_from_u64(seed ^ 0xfa11);
+    for _ in 0..failures {
+        let at = SimTime::from_secs(frng.range_u64(1, 900));
+        let node = NodeId(frng.range_u64(1, NODES as u64 + 1) as u32);
+        s.schedule_node_failure(at, node);
+    }
+    let end = s.run_to_completion();
+    let epilogs = s.drain_epilogs();
+
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    write!(h, "end={end:?};").unwrap();
+    for (id, j) in &s.jobs {
+        write!(
+            h,
+            "{id:?}:{:?}:{:?}:{:?}:{:?};",
+            j.state, j.started, j.ended, j.allocations
+        )
+        .unwrap();
+    }
+    write!(h, "{:?}{:?}", s.preemptions, epilogs).unwrap();
+    assert!(
+        s.obs.rec.flight.pushed() as usize <= s.obs.rec.flight.capacity(),
+        "the flight ring holds the whole stream"
+    );
+    write!(h, "{:?}", s.obs.rec.flight.events()).unwrap();
+    for (name, v) in s.obs.snapshot().counters {
+        write!(h, "{name}={v};").unwrap();
+    }
+    h.0
+}
+
+/// Fingerprints of the knobs-on replay grid, indexed
+/// `[policy][knob config][failures ∈ {0, 2}]`, recorded from the engine
+/// before its shard plane and capacity mirrors were removed.
+const KNOBS_ON_PINNED: [[[u64; 2]; 4]; 3] = [
+    [
+        [0xcc77250c36abe162, 0xd4cb7cff37a74353],
+        [0x7d080cbac3777630, 0x149cf91ca43e782],
+        [0x5dd7c2aa7f5f69e6, 0x9a43aace63d2cb97],
+        [0xf76e95be79eee6c2, 0xb833b474904ea93d],
+    ],
+    [
+        [0x225f91fa69d11446, 0xa5ca45507f1f34dd],
+        [0xc940ba9980471f01, 0x951f8828477a556e],
+        [0x4f55ade3baafab3f, 0xae1d5db4969a2ad2],
+        [0xf40f1e4c2dd68e00, 0xfa590efbc3806ff7],
+    ],
+    [
+        [0xbae4e01fcb838c61, 0x1464b6008f95467e],
+        [0x6eddcab639738e10, 0xc080a841433b126d],
+        [0xbbb78a4a1afb7945, 0x3ef46fc7e061ac89],
+        [0xe94a3ceb6b5c49ee, 0x479c0d7584b95ea0],
+    ],
+];
+
+/// Knobs-on decisions are pinned: 3 policies × 4 knob configs × {0, 2}
+/// node failures on the 12-node, two-partition cluster must reproduce the
+/// recorded fingerprints bit for bit.
+#[test]
+fn knobs_on_decisions_are_pinned() {
+    let mut actual = [[[0u64; 2]; 4]; 3];
+    for (p, by_policy) in actual.iter_mut().enumerate() {
+        for (k, by_knobs) in by_policy.iter_mut().enumerate() {
+            for (f, slot) in by_knobs.iter_mut().enumerate() {
+                let seed = 0xbe9c + (p * 8 + k * 2 + f) as u64;
+                *slot = knobs_on_fingerprint(seed, policy_from(p as u8), k as u8, 2 * f as u32);
+            }
+        }
+    }
+    assert_eq!(
+        actual, KNOBS_ON_PINNED,
+        "knobs-on decisions changed; actual fingerprints:\n{actual:#x?}"
+    );
 }
