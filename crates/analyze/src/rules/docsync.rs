@@ -226,7 +226,7 @@ pub fn check(
         }
     }
 
-    // --- scheduler counter-family thread-invariance table ---
+    // --- scheduler counter-family table ---
     let mut sched_families: BTreeMap<String, &Registration> = BTreeMap::new();
     for r in spans.iter().filter(|r| r.kind == "counter") {
         let mut segs = r.name.split('.');
@@ -240,10 +240,10 @@ pub fn check(
             file: arch_path.to_string(),
             line: 1,
             rule: RULE,
-            msg: "ARCHITECTURE.md has no counter-family thread-invariance table \
+            msg: "ARCHITECTURE.md has no scheduler counter-family table \
                   (header cell `counter family`)"
                 .into(),
-            hint: "restore the `| counter family | thread-invariant | why |` table".into(),
+            hint: "restore the `| counter family | counts |` table".into(),
         });
     }
     for (family, reg) in &sched_families {
@@ -254,12 +254,10 @@ pub fn check(
                 rule: RULE,
                 msg: format!(
                     "scheduler counter family `{family}` (e.g. `{}` registered at {}:{}) \
-                     has no row in the ARCHITECTURE.md thread-invariance table",
+                     has no row in the ARCHITECTURE.md counter-family table",
                     reg.name, reg.file, reg.line
                 ),
-                hint: "add a row declaring whether the family is bit-identical at any \
-                       shard width, and why"
-                    .into(),
+                hint: "add a row saying what the family's counters count".into(),
             });
         }
     }
@@ -270,7 +268,7 @@ pub fn check(
                 line: *line,
                 rule: RULE,
                 msg: format!(
-                    "ARCHITECTURE.md thread-invariance table documents counter family \
+                    "ARCHITECTURE.md counter-family table documents counter family \
                      `{name}` with no registered `sched.*` counter in it"
                 ),
                 hint: "remove the row or restore a rec.counter(\"…\") registration in \
@@ -376,7 +374,7 @@ mod tests {
     const CHANNELS: &str = "pub enum Channel {\n    ProcList,\n    NetTcp,\n}\n";
     const FAULTS: &str =
         "pub enum Fault {\n    NodeCrash { node: NodeId },\n    IdpOutage { heal_after: SimDuration },\n}\n";
-    const ARCH: &str = "# arch\n\n| channel | sect |\n|---|---|\n| `ProcList` | 1 |\n| `NetTcp` | 2 |\n\n| span | covers |\n|---|---|\n| `sched.cycle.select` | x |\n\n| slo | target |\n|---|---|\n| `cred.validate.latency` | 10ms |\n\n| fault | label |\n|---|---|\n| `NodeCrash` | node.crash |\n| `IdpOutage` | idp.outage |\n\n| counter family | thread-invariant |\n|---|---|\n| `sched.memo.*` | yes |\n| `sched.shard.*` | no |\n";
+    const ARCH: &str = "# arch\n\n| channel | sect |\n|---|---|\n| `ProcList` | 1 |\n| `NetTcp` | 2 |\n\n| span | covers |\n|---|---|\n| `sched.cycle.select` | x |\n\n| slo | target |\n|---|---|\n| `cred.validate.latency` | 10ms |\n\n| fault | label |\n|---|---|\n| `NodeCrash` | node.crash |\n| `IdpOutage` | idp.outage |\n\n| counter family | counts |\n|---|---|\n| `sched.memo.*` | memo hits |\n| `sched.calendar.*` | calendar plans |\n";
 
     fn reg(name: &str, kind: &str) -> Registration {
         Registration {
@@ -405,7 +403,7 @@ mod tests {
                 span_reg("sched.cycle.select"),
                 reg("cred.validate.latency", "slo"),
                 reg("sched.memo.head_hit", "counter"),
-                reg("sched.shard.plans", "counter"),
+                reg("sched.calendar.plans", "counter"),
             ],
             &mut out,
         );
@@ -416,7 +414,7 @@ mod tests {
     fn counter_family_table_drift_is_caught_both_directions() {
         let mut out = Vec::new();
         // Code registers a family the table lacks; the table documents a
-        // family (`sched.shard.*`) with no registered counter left in it.
+        // family (`sched.calendar.*`) with no registered counter left in it.
         check(
             ARCH,
             "ARCHITECTURE.md",
@@ -439,10 +437,10 @@ mod tests {
         );
         assert!(
             out.iter()
-                .any(|d| d.msg.contains("sched.shard.*") && d.msg.contains("no registered")),
+                .any(|d| d.msg.contains("sched.calendar.*") && d.msg.contains("no registered")),
             "{out:?}"
         );
-        // Non-sched counters carry no invariance contract.
+        // Non-sched counters have no row to keep in sync.
         assert!(!out.iter().any(|d| d.msg.contains("cred.validate")));
     }
 

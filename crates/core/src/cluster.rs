@@ -1299,9 +1299,17 @@ impl SecureCluster {
             for e in &epilogs {
                 self.materialized.remove(&e.job);
             }
-            let started = sched
-                .jobs
-                .values()
+            // Only jobs started since the last boundary can need a prolog.
+            // Prologs run in ascending id order, so pid and GPU assignment
+            // do not depend on dispatch order; a job restarted inside the
+            // window is listed once per start, and one that already ended
+            // is filtered out by its state.
+            let mut starts = sched.drain_starts();
+            starts.sort_unstable();
+            starts.dedup();
+            let started = starts
+                .iter()
+                .map(|id| &sched.jobs[id])
                 .filter(|j| j.state == JobState::Running && !self.materialized.contains(&j.id))
                 .map(|j| Started {
                     job: j.id,
@@ -1555,7 +1563,7 @@ impl SecureCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eus_sched::JobSpec;
+    use eus_sched::{JobSpec, QosClass};
 
     fn llsc_tiny() -> SecureCluster {
         SecureCluster::new(SeparationConfig::llsc(), ClusterSpec::tiny())
@@ -1637,6 +1645,106 @@ mod tests {
         c.run_to_completion();
         assert_eq!(c.node(node).procs.count_for(alice), 0);
         assert_eq!(c.gpus.get(node, 0).unwrap().assigned_to, None);
+    }
+
+    /// `(kind, job)` of every prolog and epilog the cluster ran, in order.
+    fn separation_work(c: &SecureCluster) -> Vec<(&'static str, u64)> {
+        c.obs
+            .rec
+            .flight
+            .events()
+            .iter()
+            .filter(|e| e.kind == "core.prolog" || e.kind == "core.epilog")
+            .map(|e| (e.kind, e.a))
+            .collect()
+    }
+
+    #[test]
+    fn job_that_starts_and_ends_between_boundaries_gets_only_its_epilog() {
+        let mut c = llsc_tiny();
+        c.enable_obs(ObsConfig::enabled());
+        let alice = c.add_user("alice").unwrap();
+        let job = c.submit_at(
+            SimTime::from_secs(1),
+            JobSpec::new(alice, "short", SimDuration::from_secs(10)).with_tasks(4),
+        );
+        c.advance_to(SimTime::from_secs(100));
+        assert_eq!(separation_work(&c), vec![("core.epilog", job.0)]);
+        assert!(!c.materialized.contains(&job) && !c.job_procs.contains_key(&job));
+    }
+
+    #[test]
+    fn job_preempted_and_restarted_in_one_window_materializes_once() {
+        let mut c = SecureCluster::new(
+            SeparationConfig::llsc().with_preemption(),
+            ClusterSpec::tiny(),
+        );
+        c.enable_obs(ObsConfig::enabled());
+        let alice = c.add_user("alice").unwrap();
+        let bob = c.add_user("bob").unwrap();
+        // Both jobs take the whole cluster: the urgent one preempts the
+        // bulk one at t=2, ends at t=12, and the bulk one restarts — all
+        // before the first boundary, so the start log holds the bulk job
+        // twice.
+        let bulk = c.submit_at(
+            SimTime::from_secs(1),
+            JobSpec::new(alice, "bulk", SimDuration::from_secs(1000))
+                .with_tasks(16)
+                .with_qos(QosClass::Bulk),
+        );
+        let urgent = c.submit_at(
+            SimTime::from_secs(2),
+            JobSpec::new(bob, "urgent", SimDuration::from_secs(10))
+                .with_tasks(16)
+                .with_qos(QosClass::Urgent),
+        );
+        c.advance_to(SimTime::from_secs(100));
+        assert_eq!(c.sched.read().preemptions.len(), 1);
+        let prologs: Vec<u64> = separation_work(&c)
+            .into_iter()
+            .filter(|&(kind, _)| kind == "core.prolog")
+            .map(|(_, job)| job)
+            .collect();
+        assert_eq!(prologs, vec![bulk.0], "urgent ended unseen; bulk once");
+        assert_eq!(c.job_procs[&bulk].len(), 2, "one process per node");
+        assert!(!c.job_procs.contains_key(&urgent));
+        let bulk_procs: usize = c
+            .compute_ids
+            .iter()
+            .map(|&n| c.node(n).procs.count_for(alice))
+            .sum();
+        assert_eq!(bulk_procs, 2, "no duplicate spawn");
+    }
+
+    #[test]
+    fn prologs_run_in_ascending_job_id_order() {
+        let mut c = SecureCluster::new(
+            SeparationConfig::llsc().with_fair_share(),
+            ClusterSpec::tiny(),
+        );
+        c.enable_obs(ObsConfig::enabled());
+        let alice = c.add_user("alice").unwrap();
+        let bob = c.add_user("bob").unwrap();
+        let node_job =
+            |user, name| JobSpec::new(user, name, SimDuration::from_secs(50)).with_tasks(8);
+        c.submit_at(
+            SimTime::ZERO,
+            JobSpec::new(alice, "hog", SimDuration::from_secs(100)).with_tasks(16),
+        );
+        c.advance_to(SimTime::from_secs(1));
+        let a = c.submit_at(SimTime::from_secs(2), node_job(alice, "a"));
+        let b = c.submit_at(SimTime::from_secs(3), node_job(bob, "b"));
+        // At t=100 the hog's charge puts alice behind bob: the scheduler
+        // dispatches b before a, both in this window.
+        c.advance_to(SimTime::from_secs(120));
+        assert!(b > a);
+        assert!(c.sched.read().jobs[&b].started == c.sched.read().jobs[&a].started);
+        let prologs: Vec<u64> = separation_work(&c)
+            .into_iter()
+            .filter(|&(kind, _)| kind == "core.prolog")
+            .map(|(_, job)| job)
+            .collect();
+        assert_eq!(prologs[1..], [a.0, b.0]);
     }
 
     #[test]

@@ -92,12 +92,16 @@ impl FairShareLedger {
     }
 
     /// Charge `core_seconds` of consumption to `(partition, user)` at `at`.
-    pub fn charge(&mut self, partition: &str, user: Uid, core_seconds: f64, at: SimTime) {
+    /// Returns `true` when the charge first rebased the ledger: every
+    /// score then moved, and a strict order between two scores may have
+    /// rounded into a tie.
+    pub fn charge(&mut self, partition: &str, user: Uid, core_seconds: f64, at: SimTime) -> bool {
         if core_seconds <= 0.0 {
-            return;
+            return false;
         }
         let at_s = at.since(SimTime::ZERO).as_secs_f64();
-        if (at_s - self.origin_s) / self.half_life_s > REBASE_HALF_LIVES {
+        let rebased = (at_s - self.origin_s) / self.half_life_s > REBASE_HALF_LIVES;
+        if rebased {
             self.rebase(at_s);
         }
         let w = self.weight(at);
@@ -107,6 +111,7 @@ impl FairShareLedger {
             .or_default()
             .entry(user)
             .or_insert(0.0) += core_seconds * w;
+        rebased
     }
 
     /// The *scaled* usage for head-selection ordering: monotone in the
@@ -280,10 +285,12 @@ mod tests {
         // Heavy early user, light late user — charged across ~3000
         // half-lives (~4 months), far past naive f64 scale range.
         let month = 30 * 24 * 3600u64;
-        l.charge("batch", Uid(1), 1e6, SimTime::ZERO);
+        assert!(!l.charge("batch", Uid(1), 1e6, SimTime::ZERO));
         for m in 1..=4 {
-            l.charge("batch", Uid(1), 5e4, SimTime::from_secs(m * month));
-            l.charge("batch", Uid(2), 1e4, SimTime::from_secs(m * month));
+            // Each month is ~720 half-lives past the last origin: the
+            // first charge of the month rebases, the second does not.
+            assert!(l.charge("batch", Uid(1), 5e4, SimTime::from_secs(m * month)));
+            assert!(!l.charge("batch", Uid(2), 1e4, SimTime::from_secs(m * month)));
         }
         let now = SimTime::from_secs(4 * month);
         let s1 = l.score("batch", Uid(1));

@@ -85,7 +85,9 @@
 //!   and preemption) with FIFO tie-break. Every partition gets its own
 //!   head + shadow + backfill pass per cycle, so one partition's backlog
 //!   no longer head-of-line-blocks another partition's dispatch or
-//!   backfill budget.
+//!   backfill budget. The head is the first key of the partition's
+//!   `HeadIndex`, ordered on the ledger's stored, pre-scaled usage
+//!   (time-invariant order), so selection never scans the users.
 //! * **`preemption`** — jobs carry a [`crate::job::QosClass`]; when a
 //!   latency-sensitive head cannot place, the engine kills-and-requeues
 //!   the cheapest set of strictly-lower-class victims (cost = remaining
@@ -107,6 +109,14 @@
 //! calendars read the same node-table columns, and per-class head/shadow
 //! memos skip recomputation on arrival floods. Like `policy`, the plane's
 //! knobs and the partition table are immutable once jobs are queued.
+//!
+//! # Work logs for the cluster layer
+//!
+//! Two logs carry work out of the engine: epilog events (every node a job
+//! left, through [`Scheduler::drain_epilogs`]) and the ids of started jobs
+//! ([`Scheduler::drain_starts`]), so the cluster's reconcile touches only
+//! what changed since its last boundary. Both accumulate until drained; a
+//! caller that never drains them keeps every entry.
 
 use crate::accounting::FairShareLedger;
 use crate::calendar::{CapDelta, Reservation, ReservationCalendar};
@@ -448,11 +458,11 @@ pub struct Scheduler {
     /// unpartitioned cluster): enqueue-seq → job. Mirror of `queue`,
     /// maintained only when `fair_share` is on.
     part_fifo: BTreeMap<String, BTreeMap<u64, JobId>>,
-    /// Per-class, per-(QoS band, user) queued enqueue-seqs (fair-share
-    /// head selection picks the lowest-usage user's earliest job inside
-    /// the top band). The band component is 0 when preemption is off, so
-    /// this degrades to a plain per-user index.
-    part_user: BTreeMap<String, BTreeMap<(u8, Uid), BTreeSet<u64>>>,
+    /// Per-class fair-share head index ([`HeadIndex`]): every queued
+    /// `(user, QoS band)`'s enqueue-seqs, plus those users' first seqs
+    /// ordered by `(band, usage score, seq)`, so head selection is a
+    /// first-element read.
+    part_heads: BTreeMap<String, HeadIndex>,
     /// Per-class QoS band index (maintained when `preemption` is on):
     /// `(255 − qos rank, seq) → job`, so iteration order is
     /// highest-class-first with FIFO inside a band. With preemption
@@ -488,6 +498,9 @@ pub struct Scheduler {
     /// Metrics.
     pub metrics: SchedMetrics,
     epilogs: Vec<EpilogEvent>,
+    /// Ids of jobs started since the last [`Scheduler::drain_starts`], in
+    /// dispatch order (a job preempted and restarted appears twice).
+    starts: Vec<JobId>,
     /// Node-failure history.
     pub failures: Vec<FailureRecord>,
     /// Partition table (empty = partitioning disabled, all nodes eligible).
@@ -609,6 +622,104 @@ fn next_in_fifo(fifo: &BTreeMap<u64, JobId>, cursor: Option<u64>) -> Option<(u64
     range.map(|(&k, &j)| (k, j)).next()
 }
 
+/// One `(user, QoS band)`'s entry in a class's fair-share order: its band
+/// key, the user's stored (pre-scaled) ledger score, and its earliest
+/// queued seq. Ordered band-major, then by score, then FIFO — exactly the
+/// head rule, so the class head is the first key. The score is kept as
+/// its bit pattern: ledger scores are never negative, and non-negative
+/// `f64`s order by their bits exactly as `f64::total_cmp` orders them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct HeadKey {
+    band: u8,
+    score_bits: u64,
+    seq: u64,
+    user: Uid,
+}
+
+impl HeadKey {
+    fn new(band: u8, score: f64, seq: u64, user: Uid) -> Self {
+        debug_assert!(score.is_sign_positive(), "ledger scores are never negative");
+        HeadKey {
+            band,
+            score_bits: score.to_bits(),
+            seq,
+            user,
+        }
+    }
+}
+
+/// A fair-share class's queued jobs, indexed for head selection. `heads`
+/// holds one [`HeadKey`] per `(user, band)` with queued jobs, carrying the
+/// score the ledger held when the key was written; the engine rewrites a
+/// user's keys whenever it charges that user, and rebuilds them all when
+/// the ledger rebases (a common rescale can round a strict order into a
+/// tie), so every key's score is always the ledger's current value.
+#[derive(Debug, Default)]
+struct HeadIndex {
+    /// Queued enqueue-seqs per `(user, band)`; a user's bands are adjacent.
+    users: BTreeMap<(Uid, u8), BTreeSet<u64>>,
+    /// One key per `users` entry, at that entry's first seq.
+    heads: BTreeSet<HeadKey>,
+}
+
+impl HeadIndex {
+    /// Queue `seq` for `(user, band)`; `score` is the user's ledger score.
+    fn insert(&mut self, user: Uid, band: u8, seq: u64, score: f64) {
+        let seqs = self.users.entry((user, band)).or_default();
+        seqs.insert(seq);
+        // Enqueue seqs only grow, so a new seq is the pair's first exactly
+        // when it is the pair's only one.
+        debug_assert_eq!(seqs.last(), Some(&seq), "enqueue seqs only grow");
+        if seqs.len() == 1 {
+            self.heads.insert(HeadKey::new(band, score, seq, user));
+        }
+    }
+
+    /// Unqueue `seq` from `(user, band)`; `score` is the user's ledger score.
+    fn remove(&mut self, user: Uid, band: u8, seq: u64, score: f64) {
+        let Some(seqs) = self.users.get_mut(&(user, band)) else {
+            return;
+        };
+        let was_first = seqs.first() == Some(&seq);
+        seqs.remove(&seq);
+        if !was_first {
+            return;
+        }
+        let removed = self.heads.remove(&HeadKey::new(band, score, seq, user));
+        debug_assert!(removed, "head keys carry the ledger's current score");
+        match seqs.first() {
+            Some(&next) => {
+                self.heads.insert(HeadKey::new(band, score, next, user));
+            }
+            None => {
+                self.users.remove(&(user, band));
+            }
+        }
+    }
+
+    /// Move `user`'s keys from score `old` to `new` (after a charge).
+    fn rescore(&mut self, user: Uid, old: f64, new: f64) {
+        for (&(_, band), seqs) in self.users.range((user, 0)..=(user, u8::MAX)) {
+            let seq = *seqs.first().expect("empty seq sets are removed");
+            let removed = self.heads.remove(&HeadKey::new(band, old, seq, user));
+            debug_assert!(removed, "head keys carry the ledger's current score");
+            self.heads.insert(HeadKey::new(band, new, seq, user));
+        }
+    }
+
+    /// Rewrite every key from the ledger (after a rebase).
+    fn rebuild(&mut self, score: impl Fn(Uid) -> f64) {
+        self.heads = self
+            .users
+            .iter()
+            .map(|(&(user, band), seqs)| {
+                let seq = *seqs.first().expect("empty seq sets are removed");
+                HeadKey::new(band, score(user), seq, user)
+            })
+            .collect();
+    }
+}
+
 /// The head whose total task-fit is being maintained incrementally.
 #[derive(Debug)]
 struct HeadFit {
@@ -669,7 +780,7 @@ impl Scheduler {
             bf_scan: None,
             ledger,
             part_fifo: BTreeMap::new(),
-            part_user: BTreeMap::new(),
+            part_heads: BTreeMap::new(),
             part_qos: BTreeMap::new(),
             job_part: BTreeMap::new(),
             run_epochs: BTreeMap::new(),
@@ -692,6 +803,7 @@ impl Scheduler {
                 timed_out: Counter::new(),
             },
             epilogs: Vec::new(),
+            starts: Vec::new(),
             failures: Vec::new(),
             partitions: PartitionTable::new(),
             admins: BTreeSet::new(),
@@ -771,11 +883,12 @@ impl Scheduler {
     }
 
     /// A class's nodes as what-if capacity values read off the columns,
-    /// id-ascending: a partition's members, or every node when `part` is
-    /// `None`. The reservation planners start from this.
-    fn capacity_base(&self, part: Option<&str>) -> Vec<ShadowNode> {
+    /// id-ascending: a partition's members, or every node when `class` is
+    /// `None` or the unpartitioned cluster's fair-share class `""`. The
+    /// reservation planners start from this.
+    fn capacity_base(&self, class: Option<&str>) -> Vec<ShadowNode> {
         let cols = self.nodes.cols();
-        match part {
+        match class.filter(|_| !self.partitions.is_empty()) {
             Some(p) => self
                 .partitions
                 .get(p)
@@ -1042,17 +1155,15 @@ impl Scheduler {
             String::new()
         };
         if self.config.fair_share {
-            let ukey = (self.user_band(&spec), spec.user);
             self.part_fifo
                 .entry(part.clone())
                 .or_default()
                 .insert(key, id);
-            self.part_user
+            let (band, score) = (self.user_band(&spec), self.ledger.score(&part, spec.user));
+            self.part_heads
                 .entry(part.clone())
                 .or_default()
-                .entry(ukey)
-                .or_default()
-                .insert(key);
+                .insert(spec.user, band, key, score);
         }
         if self.config.preemption {
             self.part_qos
@@ -1085,19 +1196,12 @@ impl Scheduler {
                     self.part_fifo.remove(&part);
                 }
             }
-            let ukey = (
-                self.user_band(&self.jobs[&id].spec),
-                self.jobs[&id].spec.user,
-            );
-            if let Some(users) = self.part_user.get_mut(&part) {
-                if let Some(seqs) = users.get_mut(&ukey) {
-                    seqs.remove(&key);
-                    if seqs.is_empty() {
-                        users.remove(&ukey);
-                    }
-                }
-                if users.is_empty() {
-                    self.part_user.remove(&part);
+            let spec = &self.jobs[&id].spec;
+            let (user, band) = (spec.user, self.user_band(spec));
+            if let Some(index) = self.part_heads.get_mut(&part) {
+                index.remove(user, band, key, self.ledger.score(&part, user));
+                if index.users.is_empty() {
+                    self.part_heads.remove(&part);
                 }
             }
             if let Some(bands) = self.part_qos.get_mut(&part) {
@@ -1123,6 +1227,14 @@ impl Scheduler {
     /// Drain accumulated epilog work (cluster layer consumes).
     pub fn drain_epilogs(&mut self) -> Vec<EpilogEvent> {
         std::mem::take(&mut self.epilogs)
+    }
+
+    /// Drain the ids of jobs started since the last drain, in dispatch
+    /// order: the cluster layer's prolog work list. A job preempted and
+    /// restarted in between appears once per start, and a job that has
+    /// ended since still appears, so the consumer checks `state`.
+    pub fn drain_starts(&mut self) -> Vec<JobId> {
+        std::mem::take(&mut self.starts)
     }
 
     /// Does `user` have a running job with an allocation on `node`? (The
@@ -1392,7 +1504,8 @@ impl Scheduler {
     }
 
     /// Charge a run's consumed core-seconds to the fair-share ledger
-    /// (no-op unless `fair_share` is on).
+    /// (no-op unless `fair_share` is on), keeping the head index's scores
+    /// equal to the ledger's.
     fn charge_fair_share(&mut self, id: JobId, cores: u32, started: SimTime) {
         if !self.config.fair_share {
             return;
@@ -1406,7 +1519,15 @@ impl Scheduler {
             .unwrap_or("")
             .to_string();
         let consumed = cores as f64 * self.now.since(started).as_secs_f64();
-        self.ledger.charge(&part, user, consumed, self.now);
+        let before = self.ledger.score(&part, user);
+        let ledger = &mut self.ledger;
+        if ledger.charge(&part, user, consumed, self.now) {
+            for (class, index) in &mut self.part_heads {
+                index.rebuild(|u| ledger.score(class, u));
+            }
+        } else if let Some(index) = self.part_heads.get_mut(&part) {
+            index.rescore(user, before, ledger.score(&part, user));
+        }
     }
 
     fn start_job(&mut self, id: JobId, placement: Vec<(NodeId, TaskAlloc)>) {
@@ -1440,6 +1561,7 @@ impl Scheduler {
             job.allocations = placement.into_iter().collect();
         }
         self.running_ends.insert((now + duration, id), run_allocs);
+        self.starts.push(id);
         self.obs.rec.incr(self.obs.c_starts);
         if !self.submit_traces.is_empty() {
             if let Some(ctx) = self.submit_traces.remove(&id) {
@@ -2010,6 +2132,9 @@ impl Scheduler {
     /// * fair-share on (preemption off) → the queued job of the user with
     ///   the lowest decayed usage in the partition, FIFO tie-break;
     /// * neither → plain FIFO (the global class).
+    ///
+    /// Every case is a first-element read of an index kept current on
+    /// enqueue, dequeue and fair-share charge.
     fn select_head(&self, class: Option<&str>) -> Option<JobId> {
         let ckey = class.unwrap_or("");
         if self.config.preemption && !self.config.fair_share {
@@ -2018,35 +2143,11 @@ impl Scheduler {
         }
         match class {
             None => self.queue.first().map(|(_, id)| id),
+            // Fair-share: the lowest-usage user's earliest job inside the
+            // top band — the class index's first key.
             Some(part) => {
-                // Fair-share: lowest-usage user's earliest job — restricted
-                // to the top QoS band when preemption is also on (the
-                // per-user index is band-major, so the top band is a
-                // prefix).
-                let users = self.part_user.get(part)?;
-                let top_band = users.keys().next()?.0;
-                let mut best: Option<(f64, u64, JobId)> = None;
-                for (&(band, user), seqs) in users {
-                    if band != top_band {
-                        break;
-                    }
-                    let Some(&seq) = seqs.iter().next() else {
-                        continue; // empty sets are removed eagerly
-                    };
-                    let score = self.ledger.score(part, user);
-                    let better = match &best {
-                        None => true,
-                        Some((bs, bq, _)) => match score.total_cmp(bs) {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Greater => false,
-                            std::cmp::Ordering::Equal => seq < *bq,
-                        },
-                    };
-                    if better {
-                        best = Some((score, seq, self.part_fifo[part][&seq]));
-                    }
-                }
-                best.map(|(_, _, id)| id)
+                let head = self.part_heads.get(part)?.heads.first()?;
+                Some(self.part_fifo[part][&head.seq])
             }
         }
     }
@@ -2448,51 +2549,30 @@ impl Scheduler {
         match class {
             Some(part) => {
                 // Fair-share order: (user score, seq), derived by a K-way
-                // merge over the per-user seq sets — O(U + K log U), never
-                // a whole-queue sort. (Preemption is off on this branch,
-                // so every per-user index key has band 0.)
-                let (Some(fifo), Some(users)) =
-                    (self.part_fifo.get(part), self.part_user.get(part))
+                // merge seeded with the class's head keys — O(U + K log U),
+                // never a whole-queue sort. (Preemption is off on this
+                // branch, so every key has band 0.)
+                let (Some(fifo), Some(index)) =
+                    (self.part_fifo.get(part), self.part_heads.get(part))
                 else {
                     return order;
                 };
-                #[derive(PartialEq)]
-                struct Cand(f64, u64, Uid);
-                impl Eq for Cand {}
-                impl PartialOrd for Cand {
-                    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                        Some(self.cmp(other))
-                    }
-                }
-                impl Ord for Cand {
-                    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                        // Reversed: BinaryHeap is a max-heap, we pop min.
-                        other.0.total_cmp(&self.0).then(other.1.cmp(&self.1))
-                    }
-                }
-                let mut heap: BinaryHeap<Cand> = users
-                    .iter()
-                    .filter_map(|(&(_, user), seqs)| {
-                        seqs.iter()
-                            .next()
-                            .map(|&seq| Cand(self.ledger.score(part, user), seq, user))
-                    })
-                    .collect();
+                let mut heap: BinaryHeap<Reverse<HeadKey>> =
+                    index.heads.iter().map(|&k| Reverse(k)).collect();
                 while order.len() < k {
-                    let Some(Cand(score, seq, user)) = heap.pop() else {
+                    let Some(Reverse(key)) = heap.pop() else {
                         break;
                     };
-                    let job = fifo[&seq];
+                    let job = fifo[&key.seq];
                     if job != head {
                         order.push(job);
                     }
                     // Advance this user's cursor to their next queued seq.
-                    if let Some(seqs) = users.get(&(0, user)) {
-                        if let Some(&next) =
-                            seqs.range((Bound::Excluded(seq), Bound::Unbounded)).next()
-                        {
-                            heap.push(Cand(score, next, user));
-                        }
+                    if let Some(&seq) = index.users[&(key.user, 0)]
+                        .range((Bound::Excluded(key.seq), Bound::Unbounded))
+                        .next()
+                    {
+                        heap.push(Reverse(HeadKey { seq, ..key }));
                     }
                 }
             }
@@ -2757,6 +2837,9 @@ impl Scheduler {
         planned
     }
 }
+
+#[cfg(test)]
+mod head_index_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -3272,6 +3355,32 @@ mod tests {
             ledger.score("", Uid(1)) > ledger.score("", Uid(2)),
             "heavier user carries more decayed usage"
         );
+    }
+
+    #[test]
+    fn unpartitioned_fair_share_class_holds_reservations() {
+        // Fair-share on an unpartitioned cluster files every job under the
+        // class "", which names no partition: the calendar must plan it
+        // against the whole cluster, exactly as with fair-share off.
+        for fair_share in [false, true] {
+            let mut s = Scheduler::new(SchedConfig {
+                policy: NodeSharing::Shared,
+                fair_share,
+                reservations: 2,
+                ..SchedConfig::default()
+            });
+            for _ in 0..4 {
+                s.add_node(8, 64_000, 0);
+            }
+            s.submit_at(SimTime::ZERO, job(1, 32, 100));
+            let queued = s.submit_at(SimTime::from_secs(1), job(2, 32, 50));
+            s.run_until(SimTime::from_secs(2));
+            let held = s.held_reservations();
+            assert_eq!(held.len(), 1, "fair_share={fair_share}");
+            assert_eq!(held[0].job, queued);
+            assert_eq!(held[0].start, SimTime::from_secs(100));
+            assert_eq!(held[0].allocs.len(), 4, "planned on every node");
+        }
     }
 
     #[test]

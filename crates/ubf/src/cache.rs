@@ -33,6 +33,11 @@ impl CacheKey {
 }
 
 /// Bounded FIFO-evicting decision cache.
+///
+/// Both collections start empty and grow on demand up to `capacity`: a
+/// cluster runs one daemon per host, and most hosts cache a handful of
+/// decisions, so reserving the bound up front would commit memory for
+/// every host that never touches it.
 #[derive(Debug, Clone)]
 pub struct DecisionCache {
     map: HashMap<CacheKey, bool>,
@@ -42,10 +47,11 @@ pub struct DecisionCache {
 
 impl DecisionCache {
     /// A cache holding at most `capacity` decisions (0 disables caching).
+    /// Allocates nothing until the first [`put`](Self::put).
     pub fn new(capacity: usize) -> Self {
         DecisionCache {
-            map: HashMap::with_capacity(capacity),
-            order: std::collections::VecDeque::with_capacity(capacity),
+            map: HashMap::new(),
+            order: std::collections::VecDeque::new(),
             capacity,
         }
     }
@@ -126,6 +132,28 @@ mod tests {
         assert_eq!(c.get(&k1), None, "oldest evicted");
         assert_eq!(c.get(&k2), Some(false));
         assert_eq!(c.get(&k3), Some(true));
+    }
+
+    #[test]
+    fn allocates_on_first_put_and_keeps_fifo_eviction() {
+        let mut c = DecisionCache::new(4096);
+        assert_eq!(c.map.capacity(), 0, "no map storage before a put");
+        assert_eq!(c.order.capacity(), 0, "no order storage before a put");
+        let keys: Vec<CacheKey> = (0..4098)
+            .map(|u| CacheKey::new(&peer(u, u), &peer(9, 9)))
+            .collect();
+        c.put(keys[0], true);
+        assert!(c.map.capacity() >= 1 && c.map.capacity() < 4096);
+        for &k in &keys[1..] {
+            c.put(k, false);
+        }
+        assert_eq!(c.len(), 4096);
+        assert_eq!(c.get(&keys[0]), None, "oldest evicted first");
+        assert_eq!(c.get(&keys[1]), None, "second oldest evicted next");
+        assert_eq!(c.get(&keys[2]), Some(false));
+        assert_eq!(c.get(&keys[4097]), Some(false));
+        let order: Vec<CacheKey> = c.order.iter().copied().collect();
+        assert_eq!(order, keys[2..], "FIFO order is insertion order");
     }
 
     #[test]
